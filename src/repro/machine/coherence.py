@@ -1,7 +1,8 @@
 """Directory MESI coherence controller and per-access timing.
 
 This is the protocol engine: every data reference of every processor flows
-through :meth:`CoherenceController.access`, which
+through :meth:`CoherenceController.run_refs` (:meth:`~CoherenceController.access`
+for a single reference), which
 
 1. probes the node's L1 (presence) and L2 (MESI state),
 2. on an L2 miss, consults the home node's directory, performs remote
@@ -115,66 +116,111 @@ class CoherenceController:
         self._t_victim = 2.0 * t.t_l2_hit
         self._victims: list[dict[int, None]] = [dict() for _ in range(cfg.n_processors)]
         self.tally = ProtocolTally()
+        # What run_refs binds per call, in one tuple per cpu.
+        self._per_cpu = [
+            (hier, counters[cpu], ground_truth[cpu], hier.l1, hier.l2, self._tlbs[cpu])
+            for cpu, hier in enumerate(hierarchies)
+        ]
 
     # -- the per-reference hot path -------------------------------------------
 
     def access(self, cpu: int, block: int, is_write: bool) -> float:
         """Simulate one data reference; returns stall cycles beyond cpi0."""
-        hier = self.hierarchies[cpu]
-        counters = self.counters[cpu]
-        gt = self.gt[cpu]
+        return self.run_refs(cpu, (block,), (is_write,), 0, 1)
 
-        if is_write:
-            counters.graduated_stores += 1
-        else:
-            counters.graduated_loads += 1
+    def run_refs(self, cpu: int, addrs, writes, start: int, end: int) -> float:
+        """Simulate references ``start .. end-1`` of one cpu's trace in order.
 
-        tlb_stall = 0.0
-        if self._tlb_entries:
-            tlb = self._tlbs[cpu]
-            page = block >> self._page_shift
-            if page in tlb:
-                del tlb[page]  # LRU bump: re-insert at the back
-            else:
-                counters.tlb_misses += 1
-                gt.tlb_stall_cycles += self._t_tlb_miss
-                tlb_stall = self._t_tlb_miss
-                if len(tlb) >= self._tlb_entries:
-                    del tlb[next(iter(tlb))]
-            tlb[page] = None
+        Returns their stall cycles beyond cpi0, summed in reference order.
+        This is the only path a data reference takes.  The cpu's caches are
+        bound once per call and probed in line: L1 presence and L2 state
+        are read from the caches' ``state`` dicts, and an L1 hit under LRU
+        moves the block to the back of its set list without a call.  L2
+        hits and fills go through the cache methods, L2 misses through
+        :meth:`_l2_miss`.
+        """
+        hier, counters, gt, l1, l2, tlb = self._per_cpu[cpu]
+        l1_state = l1.state
+        l1_sets = l1.sets
+        l1_mask = l1.set_mask
+        l1_lru = l1.policy is None
+        l1_insert = l1.insert
+        l2_state = l2.state
+        l2_touch = l2.touch
+        upgrade = self._upgrade
+        l2_miss = self._l2_miss
+        t_l2_hit = self._t_l2_hit
+        tlb_entries = self._tlb_entries
+        t_tlb_miss = self._t_tlb_miss
+        page_shift = self._page_shift
 
-        l1_hit = hier.l1_hit(block)
-        if l1_hit:
-            if not is_write:
-                return tlb_stall
-            state = hier.l2.state_of(block)
-            if state == MODIFIED:
-                return tlb_stall
-            if state == EXCLUSIVE:
-                hier.l2.set_state(block, MODIFIED)
-                return tlb_stall
-            if state == SHARED:
-                return tlb_stall + self._upgrade(cpu, block, hier, counters, gt)
-            raise SimulationError(f"cpu {cpu}: L1 hit on block {block} absent from L2 (inclusion)")
-
-        counters.l1_data_misses += 1
-        state = hier.l2.state_of(block)
-        if state:
-            # L1 miss, L2 hit: the paper's h2 event, costing t2.
-            hier.l2_touch(block)
-            self._l1_install(cpu, block, hier)
-            stall = self._t_l2_hit
-            gt.l2_hit_stall_cycles += stall
+        total = 0.0
+        repeat = -1  # block of the previous reference, if it was an LRU L1 hit
+        for block, is_write in zip(addrs[start:end], writes[start:end]):
             if is_write:
-                if state == SHARED:
-                    stall += self._upgrade(cpu, block, hier, counters, gt)
-                elif state == EXCLUSIVE:
-                    hier.l2.set_state(block, MODIFIED)
-            return tlb_stall + stall
+                counters.graduated_stores += 1
+            else:
+                counters.graduated_loads += 1
 
-        # L2 miss: the paper's hm event, costing tm.
-        counters.l2_misses += 1
-        return tlb_stall + self._l2_miss(cpu, block, is_write, hier, counters, gt)
+            stall = 0.0
+            if tlb_entries:
+                page = block >> page_shift
+                if page in tlb:
+                    del tlb[page]  # LRU bump: re-insert at the back
+                else:
+                    counters.tlb_misses += 1
+                    gt.tlb_stall_cycles += t_tlb_miss
+                    stall = t_tlb_miss
+                    if len(tlb) >= tlb_entries:
+                        del tlb[next(iter(tlb))]
+                tlb[page] = None
+
+            if block == repeat or block in l1_state:
+                # L1 hit.  A repeat of the previous reference's LRU hit needs
+                # no update: nothing ran in between, so it is still the MRU.
+                if block != repeat:
+                    if l1_lru:
+                        order = l1_sets[block & l1_mask]
+                        if order[-1] != block:
+                            order.remove(block)
+                            order.append(block)
+                        repeat = block
+                    else:
+                        l1.touch(block)
+                if is_write:
+                    state = l2_state.get(block, 0)
+                    if state == EXCLUSIVE:
+                        l2_state[block] = MODIFIED
+                    elif state == SHARED:
+                        stall += upgrade(cpu, block, hier, counters, gt)
+                    elif state != MODIFIED:
+                        raise SimulationError(
+                            f"cpu {cpu}: L1 hit on block {block} absent from L2 (inclusion)"
+                        )
+                total += stall
+                continue
+
+            repeat = -1
+            counters.l1_data_misses += 1
+            state = l2_state.get(block, 0)
+            if state:
+                # L1 miss, L2 hit: the paper's h2 event, costing t2.
+                l2_touch(block)
+                l1_insert(block, SHARED)
+                hit = t_l2_hit
+                gt.l2_hit_stall_cycles += hit
+                if is_write:
+                    if state == SHARED:
+                        hit += upgrade(cpu, block, hier, counters, gt)
+                    elif state == EXCLUSIVE:
+                        l2_state[block] = MODIFIED
+                total += stall + hit
+                continue
+
+            # L2 miss: the paper's hm event, costing tm.
+            counters.l2_misses += 1
+            total += stall + l2_miss(cpu, block, is_write, hier, gt)
+        return total
 
     # -- protocol pieces ----------------------------------------------------------
 
@@ -189,11 +235,11 @@ class CoherenceController:
         """Store to a SHARED line: invalidate other holders, go MODIFIED."""
         tally = self.tally
         tally.upgrades += 1
-        for node in self.directory.sharers(block, exclude=cpu):
+        directory = self.directory
+        for node in directory.clear_others(block, keeper=cpu):
             self.hierarchies[node].coherence_invalidate(block)
             tally.invalidations += 1
-        self.directory.clear_others(block, keeper=cpu)
-        self.directory.set_exclusive(block, cpu)
+        directory.set_exclusive(block, cpu)
         hier.l2.set_state(block, MODIFIED)
         counters.store_exclusive_to_shared += 1
         gt.upgrades_data += 1
@@ -206,7 +252,6 @@ class CoherenceController:
         block: int,
         is_write: bool,
         hier: CacheHierarchy,
-        counters: CounterSet,
         gt: GroundTruth,
     ) -> float:
         miss_class = hier.classify_miss(block)
@@ -231,7 +276,8 @@ class CoherenceController:
         if len(tails) > 16:
             del tails[next(iter(tails))]
 
-        owner, mask = self.directory.lookup(block)
+        directory = self.directory
+        owner, mask = directory.lookup(block)
         tally = self.tally
         intervened_dirty = False
         remote_action = False
@@ -246,11 +292,11 @@ class CoherenceController:
                 )
             if is_write:
                 owner_hier.coherence_invalidate(block)
-                self.directory.clear_others(block, keeper=cpu)
+                directory.clear_others(block, keeper=cpu)
                 tally.invalidations += 1
             else:
                 was_dirty = owner_hier.coherence_downgrade(block)
-                self.directory.demote_owner(block)
+                directory.demote_owner(block)
                 intervened_dirty = was_dirty or owner_state == MODIFIED
                 tally.downgrades += 1
             if owner_state == MODIFIED:
@@ -263,27 +309,27 @@ class CoherenceController:
                     interconnect.traversals += 1
                     interconnect.hop_total += forward_hops
         elif is_write and mask:
-            sharers = self.directory.sharers(block, exclude=cpu)
+            sharers = directory.clear_others(block, keeper=cpu)
             if sharers:
                 remote_action = True
             for node in sharers:
                 self.hierarchies[node].coherence_invalidate(block)
                 tally.invalidations += 1
-            self.directory.clear_others(block, keeper=cpu)
 
         # Directory update + fill state (Illinois: exclusive-clean on a read
-        # miss with no other holders).
+        # miss with no other holders).  An entry that was uncached at lookup
+        # (mask 0) cannot have gained sharers since, so it skips the scan.
         if is_write:
-            self.directory.set_exclusive(block, cpu)
+            directory.set_exclusive(block, cpu)
             fill_state = MODIFIED
-        elif self._msi or self.directory.sharers(block, exclude=cpu):
+        elif self._msi or (mask and directory.sharers(block, exclude=cpu)):
             # Someone else may hold the line (for a coarse vector this is
             # conservative: stale group bits force SHARED, never a wrong E);
             # under MSI there is no Exclusive state at all.
-            self.directory.add_sharer(block, cpu)
+            directory.add_sharer(block, cpu)
             fill_state = SHARED
         else:
-            self.directory.set_exclusive(block, cpu)
+            directory.set_exclusive(block, cpu)
             fill_state = EXCLUSIVE
 
         # Stream prefetching hides memory-sourced latency but cannot hide a
@@ -302,17 +348,18 @@ class CoherenceController:
         gt.memory_stall_cycles += latency
         evicted = hier.l2_fill(block, fill_state)
         if evicted is not None:
-            self.directory.remove_node(evicted.block, cpu)
-            if evicted.dirty:
+            evicted_block, evicted_state = evicted
+            directory.remove_node(evicted_block, cpu)
+            if evicted_state == MODIFIED:
                 gt.writebacks += 1
                 gt.writeback_cycles += self._t_writeback
                 latency += self._t_writeback
             if self._victim_entries:
                 victims = self._victims[cpu]
-                victims[evicted.block] = None
+                victims[evicted_block] = None
                 if len(victims) > self._victim_entries:
                     del victims[next(iter(victims))]
-        self._l1_install(cpu, block, hier)
+        hier.l1.insert(block, SHARED)  # not in L1: L1 is inside L2, which just missed
 
         if hops == 0 and not intervened_dirty:
             gt.local_misses += 1
@@ -321,11 +368,6 @@ class CoherenceController:
             if intervened_dirty:
                 gt.dirty_remote_misses += 1
         return latency
-
-    @staticmethod
-    def _l1_install(cpu: int, block: int, hier: CacheHierarchy) -> None:
-        if not hier.l1.contains(block):
-            hier.l1_fill(block)
 
     # -- global invariants (property tests) -----------------------------------------
 

@@ -47,16 +47,14 @@ class BitVectorDirectory:
 
     def sharers(self, block: int, exclude: int = -1) -> list[int]:
         """Nodes that may hold the line, optionally excluding one node."""
-        mask = self.presence_mask(block)
+        mask = self._entries.get(block, (-1, 0))[1]
         if exclude >= 0:
             mask &= ~(1 << exclude)
         out = []
-        node = 0
-        while mask:
-            if mask & 1:
-                out.append(node)
-            mask >>= 1
-            node += 1
+        while mask:  # one step per set bit, lowest node first
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def is_cached(self, block: int) -> bool:

@@ -16,7 +16,7 @@ the two per-block sets the ground-truth miss classifier needs:
 
 from __future__ import annotations
 
-from .cache import Eviction, SetAssociativeCache
+from .cache import SetAssociativeCache
 from .config import CacheConfig
 
 __all__ = ["COLD", "COHERENCE", "REPLACEMENT", "CacheHierarchy"]
@@ -40,35 +40,24 @@ class CacheHierarchy:
 
     # -- local lookups ---------------------------------------------------------
 
-    def l1_hit(self, block: int) -> bool:
-        """Probe+touch the L1; True on hit."""
-        return self.l1.touch(block)
-
     def l2_state(self, block: int) -> int:
         return self.l2.state_of(block)
 
-    def l2_touch(self, block: int) -> None:
-        self.l2.touch(block)
-
     # -- fills -------------------------------------------------------------------
 
-    def l1_fill(self, block: int) -> None:
-        """Install in L1 (L1 victims need no writeback: inclusion keeps data in L2)."""
-        from .cache import SHARED  # local import keeps module load order simple
-
-        self.l1.insert(block, SHARED)
-
-    def l2_fill(self, block: int, state: int) -> Eviction | None:
+    def l2_fill(self, block: int, state: int) -> tuple[int, int] | None:
         """Install in L2; on eviction the L1 copy is dropped too (inclusion).
 
-        Returns the L2 eviction so the controller can write back dirty data
-        and update the directory.
+        Returns the L2 eviction ``(block, state)`` so the controller can
+        write back dirty data and update the directory.  L1 fills need no
+        wrapper: L1 victims need no writeback (inclusion keeps the data in
+        L2), so the controller inserts into ``l1`` directly.
         """
         evicted = self.l2.insert(block, state)
         self.seen.add(block)
         self.invalidated.discard(block)
         if evicted is not None:
-            self.l1.invalidate(evicted.block)
+            self.l1.invalidate(evicted[0])
         return evicted
 
     # -- coherence actions (driven by the directory controller) -------------------

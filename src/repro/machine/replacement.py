@@ -8,6 +8,10 @@ bits, RNG), keyed by set index.
 The Origin 2000's caches are LRU; the alternatives exist so ablations and
 property tests can show the model is insensitive to the exact policy (the
 paper's "conflict misses" lump capacity+conflict regardless of policy).
+
+The cache applies LRU in line on its set lists rather than through
+:class:`LruPolicy`; the class remains the reference model the property
+tests hold that in-line LRU to.
 """
 
 from __future__ import annotations

@@ -55,19 +55,19 @@ class TestEviction:
         c.insert(0, SHARED)   # set 0
         c.insert(2, SHARED)   # set 0
         ev = c.insert(4, SHARED)  # set 0 again -> evict
-        assert ev is not None and ev.block == 0
+        assert ev is not None and ev[0] == 0
 
     def test_eviction_reports_dirty(self):
         c = make_cache(size=128, line=32, assoc=1)  # 4 sets
         c.insert(0, MODIFIED)
-        ev = c.insert(4, SHARED)  # same set as block 0
-        assert ev.dirty and ev.state == MODIFIED
+        victim, state = c.insert(4, SHARED)  # same set as block 0
+        assert victim == 0 and state == MODIFIED  # dirty: written back by the controller
 
     def test_clean_eviction(self):
         c = make_cache(size=128, line=32, assoc=1)
         c.insert(0, EXCLUSIVE)
-        ev = c.insert(4, SHARED)
-        assert not ev.dirty
+        victim, state = c.insert(4, SHARED)
+        assert victim == 0 and state != MODIFIED
 
     def test_lru_order_respected(self):
         c = make_cache(size=128, line=32, assoc=2)
@@ -75,7 +75,7 @@ class TestEviction:
         c.insert(2, SHARED)
         c.touch(0)  # 0 becomes MRU
         ev = c.insert(4, SHARED)
-        assert ev.block == 2
+        assert ev[0] == 2
 
     def test_eviction_counter(self):
         c = make_cache(size=128, line=32, assoc=1)

@@ -18,18 +18,18 @@ class TestFills:
     def test_l2_then_l1(self):
         h = make_hierarchy()
         h.l2_fill(5, EXCLUSIVE)
-        h.l1_fill(5)
-        assert h.l1_hit(5)
+        h.l1.insert(5, SHARED)
+        assert h.l1.touch(5)
         assert h.l2_state(5) == EXCLUSIVE
 
     def test_l2_eviction_drops_l1_copy(self):
         h = make_hierarchy()
         # fill one L2 set (2 ways, 8 sets): blocks 0 and 8 map to set 0
         h.l2_fill(0, SHARED)
-        h.l1_fill(0)
+        h.l1.insert(0, SHARED)
         h.l2_fill(8, SHARED)
         evicted = h.l2_fill(16, SHARED)  # set 0 full -> evict block 0
-        assert evicted.block == 0
+        assert evicted == (0, SHARED)
         assert not h.l1.contains(0), "inclusion: L1 copy must go with the L2 line"
 
     def test_seen_tracks_all_filled(self):
@@ -43,7 +43,7 @@ class TestCoherenceActions:
     def test_invalidate_removes_both_levels(self):
         h = make_hierarchy()
         h.l2_fill(5, MODIFIED)
-        h.l1_fill(5)
+        h.l1.insert(5, SHARED)
         prior = h.coherence_invalidate(5)
         assert prior == MODIFIED
         assert not h.l1.contains(5)
@@ -97,7 +97,7 @@ class TestInvariants:
     def test_flush(self):
         h = make_hierarchy()
         h.l2_fill(1, SHARED)
-        h.l1_fill(1)
+        h.l1.insert(1, SHARED)
         h.flush()
         assert len(h.l1) == 0 and len(h.l2) == 0
         assert not h.seen and not h.invalidated
@@ -105,7 +105,7 @@ class TestInvariants:
     def test_inclusion_check(self):
         h = make_hierarchy()
         h.l2_fill(1, SHARED)
-        h.l1_fill(1)
+        h.l1.insert(1, SHARED)
         h.check_invariants()
         h.l2.invalidate(1)  # break inclusion by hand
         with pytest.raises(SimulationError):

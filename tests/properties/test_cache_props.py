@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro.machine.cache import EXCLUSIVE, MODIFIED, SHARED, SetAssociativeCache
 from repro.machine.config import CacheConfig
+from repro.machine.replacement import LruPolicy
 
 ops = st.lists(
     st.tuples(
@@ -74,7 +75,7 @@ def test_inserted_block_resident_until_removed(operations):
             evicted = cache.insert(block, state)
             present.add(block)
             if evicted:
-                present.discard(evicted.block)
+                present.discard(evicted[0])
         elif op == "invalidate":
             cache.invalidate(block)
             present.discard(block)
@@ -108,3 +109,37 @@ def test_lru_full_assoc_stack_property(blocks):
         recent.append(b)
         expected = set(recent[-assoc:])
         assert expected == set(cache.resident_blocks())
+
+
+@settings(max_examples=60, deadline=None)
+@given(assoc=st.sampled_from([1, 2, 4]), operations=ops)
+def test_inline_lru_matches_lru_policy(assoc, operations):
+    """The cache's in-line LRU makes exactly the decisions of the
+    :class:`LruPolicy` hooks: same evictions, same per-set order."""
+    cfg = CacheConfig(size=256, line_size=32, associativity=assoc)
+    cache = SetAssociativeCache(cfg)
+    policy = LruPolicy()
+    ref_sets: list[list[int]] = [[] for _ in range(cfg.n_sets)]
+    ref_state: dict[int, int] = {}
+    for block, op, state in operations:
+        idx = block & (cfg.n_sets - 1)
+        order = ref_sets[idx]
+        if op == "insert" and block not in ref_state:
+            expected = None
+            if len(order) >= assoc:
+                way = policy.victim_index(idx, order)
+                victim = order[way]
+                expected = (victim, ref_state.pop(victim))
+                policy.on_remove(idx, order, way)
+            policy.on_insert(idx, order, block)
+            ref_state[block] = state
+            assert cache.insert(block, state) == expected
+        elif op == "touch":
+            if block in ref_state:
+                policy.on_hit(idx, order, order.index(block))
+            assert cache.touch(block) == (block in ref_state)
+        elif op == "invalidate":
+            if block in ref_state:
+                policy.on_remove(idx, order, order.index(block))
+            assert cache.invalidate(block) == ref_state.pop(block, 0)
+        assert cache.set_contents(idx) == order
