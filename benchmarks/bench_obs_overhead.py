@@ -31,6 +31,7 @@ from repro.obs import runtime as obs
 from repro.obs.metrics import NOOP_REGISTRY
 from repro.obs.spans import NOOP_TRACER
 from repro.runner.campaign import CampaignConfig, ScalToolCampaign
+from repro.runner.engine import SerialExecutor
 from repro.workloads import SyntheticWorkload
 
 REPEATS = 5
@@ -69,11 +70,14 @@ def measure(repeats: int = REPEATS) -> dict:
     """The overhead measurement, importable (``check_regression`` reruns it).
 
     Returns the raw numbers; callers decide what to assert or compare.
+    Both modes run serially: the hooks being costed fire in this process.
     """
     campaign = _campaign()
     assert obs.active() is None
 
-    disabled_s = _median_seconds(lambda: campaign.run(), repeats=repeats)
+    disabled_s = _median_seconds(
+        lambda: campaign.run(executor=SerialExecutor()), repeats=repeats
+    )
 
     # Cost of one disabled-mode hook visit: switch read + noop span + a
     # couple of dropped registry writes.
@@ -90,7 +94,7 @@ def measure(repeats: int = REPEATS) -> dict:
 
     def run_enabled():
         with obs.session():
-            campaign.run()
+            campaign.run(executor=SerialExecutor())
 
     enabled_s = _median_seconds(run_enabled, repeats=repeats)
     return {

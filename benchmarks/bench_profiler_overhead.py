@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.obs import runtime as obs
 from repro.obs.sampler import NOOP_SAMPLER, Sampler, active_sampler
 from repro.runner.campaign import CampaignConfig, ScalToolCampaign
+from repro.runner.engine import SerialExecutor
 from repro.workloads import SyntheticWorkload
 
 REPEATS = 5
@@ -58,13 +59,17 @@ def _median_seconds(fn, repeats: int = REPEATS) -> float:
 
 
 def measure(repeats: int = REPEATS, interval_s: float = INTERVAL_S) -> dict:
-    """The overhead measurement, importable (``check_regression`` reruns it)."""
+    """The overhead measurement, importable (``check_regression`` reruns it).
+
+    Both sides run serially, so the sampler watches the simulator in this
+    process rather than pausing while pool workers sample themselves.
+    """
     campaign = _campaign()
     assert obs.active() is None
 
     def run_plain():
         with obs.session():
-            campaign.run()
+            campaign.run(executor=SerialExecutor())
 
     plain_s = _median_seconds(run_plain, repeats=repeats)
 
@@ -76,7 +81,7 @@ def measure(repeats: int = REPEATS, interval_s: float = INTERVAL_S) -> dict:
         with obs.session():
             sampler = Sampler(interval_s=interval_s).start()
             try:
-                campaign.run()
+                campaign.run(executor=SerialExecutor())
             finally:
                 profile = sampler.stop()
             samples += profile.n_samples

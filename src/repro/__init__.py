@@ -57,14 +57,15 @@ def quick_analysis(
     processor_counts: tuple[int, ...] = (1, 2, 4, 8),
     s0: int | None = None,
     cache_dir: str | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     **workload_params,
 ):
     """Run a full campaign + analysis for a named workload.
 
     Returns ``(analysis, campaign)``.  The campaign is cached on disk when
-    ``cache_dir`` is given (or $SCALTOOL_CACHE_DIR is set); ``jobs > 1``
-    fans the runs out over that many worker processes.
+    ``cache_dir`` is given (or $SCALTOOL_CACHE_DIR is set); the runs fan
+    out over ``jobs`` worker processes (default: every CPU this process
+    may use; ``jobs=1`` runs them serially in-process).
     """
     from .runner.cache import cached_campaign
     from .runner.engine import default_executor

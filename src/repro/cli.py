@@ -88,7 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", parents=[obs_common], help="list available workloads")
 
-    common = argparse.ArgumentParser(add_help=False, parents=[obs_common])
+    # Engine width, shared by every subcommand that runs a batch of experiments.
+    jobs_opt = argparse.ArgumentParser(add_help=False)
+    jobs_opt.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="run experiments on N worker processes (default: every CPU this "
+        "process may use; 1 runs them serially in this process)",
+    )
+
+    common = argparse.ArgumentParser(add_help=False, parents=[obs_common, jobs_opt])
     common.add_argument("workload", help="workload name (see `scaltool list`)")
     common.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
     common.add_argument(
@@ -97,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run campaign experiments on N worker processes (default: 1, serial)",
     )
 
     p_run = sub.add_parser(
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_blame = sub.add_parser(
-        "blame", parents=[obs_common],
+        "blame", parents=[obs_common, jobs_opt],
         help="graph-based scaling-loss localization: which segment loses the cycles, and why",
     )
     p_blame.add_argument(
@@ -160,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blame.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_blame.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run any missing campaign experiments on N worker processes",
     )
     p_blame.add_argument(
         "--group", action="append", default=None, metavar="NAME=PATTERN",
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        parents=[obs_common],
+        parents=[obs_common, jobs_opt],
         help="profile a campaign + analysis run (spans, metrics, component times)",
     )
     p_profile.add_argument("workload", help="workload name (see `scaltool list`)")
@@ -200,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--no-analysis", action="store_true", help="profile the campaign only, skip the estimators"
-    )
-    p_profile.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run campaign experiments on N worker processes (default: 1, serial)",
     )
     p_profile.add_argument(
         "--lines", action="store_true",
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        parents=[obs_common],
+        parents=[obs_common, jobs_opt],
         help="run a (workload params) x (machine params) grid, print a metric table",
         epilog=_CACHE_EPILOG,
     )
@@ -256,13 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help="per-run cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
     )
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run grid points on N worker processes (default: 1, serial)",
-    )
 
     p_topology = sub.add_parser(
-        "topology", parents=[obs_common], help="tm(n) growth by interconnect topology"
+        "topology", parents=[obs_common, jobs_opt], help="tm(n) growth by interconnect topology"
     )
     p_topology.add_argument("--counts", type=_counts, default=(2, 8, 32))
     p_topology.add_argument(
@@ -277,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_models = sub.add_parser(
-        "models", parents=[obs_common],
+        "models", parents=[obs_common, jobs_opt],
         help="fit USL/granularity/Scal-Tool scalability models and cross-validate them",
         epilog=_CACHE_EPILOG,
     )
@@ -303,10 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_models.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_models.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run campaign experiments on N worker processes (default: 1, serial)",
     )
     p_models.add_argument("--json", action="store_true", help="print the structured report as JSON")
     p_models.add_argument(
@@ -500,8 +488,8 @@ def _progress_printer(args):
 
 
 def _executor_for(args):
-    """The engine executor the command asked for (serial unless --jobs > 1)."""
-    return default_executor(getattr(args, "jobs", 1))
+    """The engine executor the command asked for (``--jobs``, else every CPU)."""
+    return default_executor(getattr(args, "jobs", None))
 
 
 def _execute_request(args, kind: str, payload: dict):
@@ -1014,6 +1002,7 @@ def _dispatch(args) -> int:
             origin2000_scaled(n_processors=1),
             processor_counts=args.counts,
             topologies=tuple(args.topologies.split(",")),
+            executor=_executor_for(args),
         )
         print(format_table([p.row() for p in points], title="tm(n) by topology"))
         return 0
@@ -1061,13 +1050,14 @@ def _dispatch(args) -> int:
     if args.command == "profile":
         from .obs.profile import profile_workload
 
+        executor = _executor_for(args)
         result = profile_workload(
             args.workload,
             s0=args.s0,
             processor_counts=args.counts,
             run_analysis=not args.no_analysis,
             progress=_progress_printer(args),
-            executor=_executor_for(args),
+            executor=executor,
             line_profile=args.lines,
             sample_interval=args.sample_interval / 1e3,
             sample_memory=args.memory,
@@ -1095,7 +1085,7 @@ def _dispatch(args) -> int:
                     "workload": args.workload,
                     "s0": args.s0,
                     "counts": list(args.counts),
-                    "jobs": args.jobs,
+                    "jobs": executor.jobs,
                     "profile": profile.to_dict(),
                 }
                 _Path(args.profile_out).write_text(

@@ -182,7 +182,9 @@ def analyze_sensitivity(
 
     The (independent) perturbations run through the shared executor;
     passing a :class:`~repro.runner.engine.ParallelExecutor` fans them out
-    across workers with the report order unchanged.
+    across workers with the report order unchanged.  Without one they run
+    in this process: each is arithmetic on stored results, far cheaper than
+    starting a pool.
     """
     if not (0.0 < abs(delta) < 1.0):
         raise InsufficientDataError("delta must be a nonzero relative perturbation below 1")

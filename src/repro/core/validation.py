@@ -97,6 +97,8 @@ def validate_mp(
     for re-running the application under the profiler.  The per-count
     profiling passes run through the shared executor (each keeps its
     ``seed=n``, so the sampled profile is identical under any executor).
+    Without an executor they run in this process: each samples stored
+    ground truth, far cheaper than starting a pool.
     """
     base_runs = campaign.base_runs()
     if not base_runs:

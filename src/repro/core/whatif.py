@@ -110,7 +110,9 @@ class WhatIf:
 
         Deterministic input order is preserved; with a
         :class:`~repro.runner.engine.ParallelExecutor` the (independent)
-        experiments fan out across workers.
+        experiments fan out across workers.  Without one they run in this
+        process: each is arithmetic on stored results, far cheaper than
+        starting a pool.
         """
         executor = executor or SerialExecutor()
         return executor.map(_apply_experiment, [(self, exp) for exp in experiments])

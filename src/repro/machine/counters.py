@@ -26,7 +26,7 @@ exposed as properties on :class:`CounterSet`:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from ..errors import CounterFormatError
 from ..units import safe_div
@@ -69,16 +69,16 @@ class CounterSet:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "CounterSet") -> "CounterSet":
-        return CounterSet(**{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)})
+        return CounterSet(**{n: getattr(self, n) + getattr(other, n) for n in _COUNTER_FIELDS})
 
     def __iadd__(self, other: "CounterSet") -> "CounterSet":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for n in _COUNTER_FIELDS:
+            setattr(self, n, getattr(self, n) + getattr(other, n))
         return self
 
     def scaled(self, factor: float) -> "CounterSet":
         """All counters multiplied by ``factor`` (used by multiplex emulation)."""
-        return CounterSet(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
+        return CounterSet(**{n: getattr(self, n) * factor for n in _COUNTER_FIELDS})
 
     @classmethod
     def total(cls, parts: list["CounterSet"]) -> "CounterSet":
@@ -128,19 +128,24 @@ class CounterSet:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return {n: getattr(self, n) for n in _COUNTER_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "CounterSet":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - _COUNTER_FIELDS
         if unknown:
             raise CounterFormatError(f"unknown counter fields: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in data.items()})
 
     def rounded(self) -> "CounterSet":
         """Integer-valued copy, as real hardware counters would report."""
-        return CounterSet(**{f.name: float(round(getattr(self, f.name))) for f in fields(self)})
+        return CounterSet(**{n: float(round(getattr(self, n))) for n in _COUNTER_FIELDS})
+
+
+# Field names in declaration order, computed once: serialisation and
+# arithmetic run per phase of every run, and ``dataclasses.fields`` /
+# ``asdict`` rebuild this on each call.
+_COUNTER_FIELDS = tuple(f.name for f in fields(CounterSet))
 
 
 @dataclass
@@ -186,11 +191,11 @@ class GroundTruth:
     lock_acquires: int = 0
 
     def __add__(self, other: "GroundTruth") -> "GroundTruth":
-        return GroundTruth(**{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)})
+        return GroundTruth(**{n: getattr(self, n) + getattr(other, n) for n in _TRUTH_FIELDS})
 
     def __iadd__(self, other: "GroundTruth") -> "GroundTruth":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for n in _TRUTH_FIELDS:
+            setattr(self, n, getattr(self, n) + getattr(other, n))
         return self
 
     @classmethod
@@ -224,16 +229,17 @@ class GroundTruth:
         return self.sync_cycles + self.spin_cycles
 
     def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return {n: getattr(self, n) for n in _TRUTH_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "GroundTruth":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - _TRUTH_TYPES.keys()
         if unknown:
             raise CounterFormatError(f"unknown ground-truth fields: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                kwargs[f.name] = type(f.default)(data[f.name]) if f.default is not None else data[f.name]
-        return cls(**kwargs)
+        return cls(**{n: _TRUTH_TYPES[n](v) for n, v in data.items()})
+
+
+# As for CounterSet; every default is a float or an int, and ``from_dict``
+# coerces each value to its field's type.
+_TRUTH_FIELDS = tuple(f.name for f in fields(GroundTruth))
+_TRUTH_TYPES = {f.name: type(f.default) for f in fields(GroundTruth)}

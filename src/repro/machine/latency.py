@@ -80,7 +80,7 @@ def topology_survey(
     fan out over a parallel executor and memoise per cell in a run cache.
     """
     # Lazy: repro.runner.engine imports machine.config from this package.
-    from ..runner.engine import RunSpec, SerialExecutor
+    from ..runner.engine import RunSpec, default_executor
     from ..workloads.kernels import MemoryLatencyKernel
 
     cells: list[tuple[str, int, MachineConfig]] = []
@@ -100,7 +100,7 @@ def topology_survey(
             cells.append((topology, n, cfg))
             specs.append(RunSpec.compile(wl, size, n, machine=cfg))
 
-    executor = executor or SerialExecutor()
+    executor = executor or default_executor()
     records = executor.run(specs, cache=cache)
 
     points: list[TopologyPoint] = []

@@ -75,8 +75,9 @@ __all__ = [
 
 _log = get_logger("obs.sampler")
 
-#: Default wake interval: 5 ms ≈ 200 Hz, comfortably under the 10%%
-#: overhead budget (one ``sys._current_frames`` walk costs ~10 µs).
+#: Default wake interval: 5 ms ≈ 200 Hz, under the 10%% overhead budget
+#: (ticks take about 1.3%% of it by their own clock; see the
+#: ``tick_fraction`` in ``benchmarks/results/profiler_overhead.json``).
 DEFAULT_INTERVAL_S = 0.005
 
 #: Leaf-most frames kept per sample; deeper stacks are truncated at the
@@ -87,6 +88,15 @@ STACK_DEPTH_LIMIT = 64
 ROOT_SPAN = "process"
 
 _FOLD_SEP = ";"
+
+#: Frame labels memoised across ticks: ``id(code) -> (code, {f_lasti:
+#: label})``, with ``None`` in place of the dict for the sampler's own
+#: frames.  This keeps a tick on a deep stack inside the shrunk switch
+#: interval; a longer tick lets the main thread run inside it, and that
+#: time is booked as sampler overhead.  Cleared wholesale when it holds
+#: this many code objects.
+_LABEL_MEMO_CODES = 4096
+_label_memo: dict[int, tuple] = {}
 
 #: Per-tick wait multipliers (mean exactly 1.0).  A fixed-period sampler
 #: phase-locks with CPython's 5 ms GIL switch quantum and with any
@@ -513,19 +523,34 @@ class Sampler:
         return ""
 
     def _extract(self, frame) -> tuple:
-        """Frame labels root -> leaf, sampler internals excluded."""
+        """Frame labels root -> leaf, sampler internals excluded.
+
+        Labels come from :data:`_label_memo`, so a tick formats only the
+        frames it has not seen before.  The memo is keyed by code object
+        identity and instruction offset (``f_lasti``), which is cheaper
+        than hashing the code object or computing ``f_lineno`` per frame;
+        each entry holds its code object, so an id is never reused while
+        its entry lives.
+        """
         labels = []
-        own = __file__
+        memo = _label_memo
         while frame is not None and len(labels) < STACK_DEPTH_LIMIT:
             code = frame.f_code
-            if code.co_filename != own:
-                labels.append(
-                    frame_label(
+            entry = memo.get(id(code))
+            if entry is None:
+                if len(memo) >= _LABEL_MEMO_CODES:
+                    memo.clear()
+                entry = memo[id(code)] = (code, None if code.co_filename == __file__ else {})
+            per_offset = entry[1]
+            if per_offset is not None:
+                label = per_offset.get(frame.f_lasti)
+                if label is None:
+                    label = per_offset[frame.f_lasti] = frame_label(
                         code.co_filename,
                         code.co_name,
                         frame.f_lineno or code.co_firstlineno,
                     )
-                )
+                labels.append(label)
             frame = frame.f_back
         labels.reverse()
         return tuple(labels)

@@ -97,9 +97,10 @@ def cached_campaign(
     Every planned run resolves against the engine's per-run cache under
     ``<cache dir>/runs/``: hits load from disk (and *still* report through
     ``progress``, so verbose campaigns never look hung on a warm cache),
-    misses execute — serially or via ``executor`` — and are stored.  A
-    corrupt cache entry is never silently fatal: it is logged with path
-    and reason, counted (``engine.cache.corrupt``), and re-executed.  The
+    misses execute on ``executor`` (default: every available CPU) and are
+    stored.  A corrupt cache entry is never silently fatal: it is logged
+    with path and reason, counted (``engine.cache.corrupt``), and
+    re-executed.  The
     campaign-level ``cache.hit`` / ``cache.miss`` / ``cache.partial`` /
     ``cache.refresh`` metrics summarise how the batch resolved, and the
     JSONL manifest is (re)exported after any call that executed a run

@@ -28,7 +28,7 @@ from ..obs.logs import get_logger, kv
 from ..tools.perfex import format_report
 from ..workloads.base import Workload
 from ..workloads.kernels import SpinKernel, SyncKernel
-from .engine import Executor, OnOutcome, RunCache, RunSpec, SerialExecutor
+from .engine import Executor, OnOutcome, RunCache, RunSpec, default_executor
 from .experiment import MachineFactory, default_machine_factory
 from .records import (
     ROLE_APP_BASE,
@@ -235,9 +235,10 @@ class ScalToolCampaign:
         ``(i, total, record)``, ``i`` 1-based — the hook long campaigns
         use to report ``run 7/23 hydro2d n=8``-style liveness.  Runs
         loaded from ``cache`` report through the same callback, so warm
-        campaigns stay visibly live.  ``executor`` defaults to serial
-        execution; a :class:`~repro.runner.engine.ParallelExecutor`
-        produces an identical record list (the plan order), just faster.
+        campaigns stay visibly live.  ``executor`` defaults to
+        :func:`~repro.runner.engine.default_executor` (every available
+        CPU); any executor produces an identical record list (the plan
+        order).
         ``on_outcome`` (if given) additionally receives every
         :class:`~repro.runner.engine.RunOutcome`.
         """
@@ -245,7 +246,7 @@ class ScalToolCampaign:
         data = CampaignData(workload=self.workload.name, s0=cfg.s0)
         specs = self.compile_plan()
         total = len(specs)
-        executor = executor or SerialExecutor()
+        executor = executor or default_executor()
         tracer = obs.tracer()
         reg = obs.registry()
         _log.debug("campaign start %s", kv(workload=self.workload.name, s0=cfg.s0, runs=total))

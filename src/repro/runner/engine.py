@@ -23,6 +23,10 @@ into :class:`RunSpec` values and hands them to an :class:`Executor`:
   the same plan.  Both retry transient per-run failures
   (:class:`~repro.errors.TransientRunError`, :class:`OSError`) a bounded
   number of times.
+* :func:`default_executor` is the one place that picks between them:
+  with no width given it uses every CPU this process may run on, and
+  every entry point that runs simulations and is not handed an executor
+  calls it.
 
 Observability: the engine emits ``engine.run`` (one per batch),
 ``engine.execute`` (one per executed run) and ``engine.map`` spans, and
@@ -68,6 +72,7 @@ __all__ = [
     "default_cache_root",
     "default_run_cache",
     "default_executor",
+    "available_cpus",
     "TRANSIENT_EXCEPTIONS",
 ]
 
@@ -269,6 +274,7 @@ class RunOutcome:
     cached: bool
     seconds: float
     attempts: int = 1
+    pid: int | None = None  # the process that executed the run; None for a cache hit
 
 
 class RunCache:
@@ -375,9 +381,10 @@ def _timed_execute(
 class Executor:
     """Shared batch logic: cache resolution, obs, deterministic reassembly.
 
-    Subclasses implement :meth:`_execute_many` (yield completed misses in
-    any order) and :meth:`map` (generic deterministic-order task map used
-    by the analysis-side loops: what-if, sensitivity, validation).
+    Subclasses implement :meth:`map` (generic deterministic-order task map
+    used by the analysis-side loops: what-if, sensitivity, validation) and
+    may override :meth:`_execute_many`, which runs misses in order in this
+    process, with one that yields completed misses in any order.
     """
 
     def __init__(
@@ -397,8 +404,14 @@ class Executor:
     def _execute_many(
         self, pending: list[tuple[int, RunSpec]]
     ) -> Iterator[tuple[int, RunRecord, float, int, int]]:
-        """Yield ``(index, record, seconds, attempts, pid)`` per executed run."""
-        raise NotImplementedError
+        """Yield ``(index, record, seconds, attempts, pid)`` per executed run.
+
+        This implementation runs ``pending`` in order in this process.
+        """
+        pid = os.getpid()
+        for i, spec in pending:
+            record, seconds, attempts = self._execute_one(spec)
+            yield i, record, seconds, attempts, pid
 
     def map(self, fn: Callable, items: Iterable) -> list:
         raise NotImplementedError
@@ -514,6 +527,7 @@ class Executor:
                                 cached=False,
                                 seconds=seconds,
                                 attempts=attempts,
+                                pid=pid,
                             )
                         )
         finally:
@@ -521,7 +535,7 @@ class Executor:
                 tspan.__exit__(None, None, None)
         return results  # type: ignore[return-value]  # every slot is filled above
 
-    # -- shared retry bookkeeping ------------------------------------------------
+    # -- in-process execution and retry bookkeeping ------------------------------
 
     def _note_retry(self, spec: RunSpec, attempt: int, exc: BaseException) -> None:
         obs.registry().inc("engine.retries")
@@ -529,12 +543,6 @@ class Executor:
             "transient run failure, retrying %s",
             kv(spec=spec.describe(), attempt=attempt, max=self.retries + 1, reason=exc),
         )
-
-
-class SerialExecutor(Executor):
-    """In-order, in-process execution (the default)."""
-
-    jobs = 1
 
     def _execute_one(self, spec: RunSpec) -> tuple[RunRecord, float, int]:
         tracer = obs.tracer()
@@ -557,11 +565,11 @@ class SerialExecutor(Executor):
                     raise
                 self._note_retry(spec, attempts, exc)
 
-    def _execute_many(self, pending):
-        pid = os.getpid()
-        for i, spec in pending:
-            record, seconds, attempts = self._execute_one(spec)
-            yield i, record, seconds, attempts, pid
+
+class SerialExecutor(Executor):
+    """In-order, in-process execution (the choice on a one-CPU host)."""
+
+    jobs = 1
 
     def map(self, fn: Callable, items: Iterable) -> list:
         items = list(items)
@@ -582,6 +590,10 @@ class ParallelExecutor(Executor):
     spooled to disk and merged back in plan order after the batch (see
     :mod:`repro.obs.spool`), so ``scaltool profile --jobs N`` and
     ``--metrics-out`` capture worker activity, not just the main process.
+
+    A batch with a single pending spec (or a map over a single item) runs
+    inline in this process: a pool would only add its start-up cost.
+    ``jobs=None`` means :func:`available_cpus`.
     """
 
     def __init__(
@@ -592,12 +604,13 @@ class ParallelExecutor(Executor):
         execute_fn: Callable[[RunSpec], RunRecord] = execute_spec,
     ) -> None:
         super().__init__(retries=retries, transient=transient, execute_fn=execute_fn)
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+        self.jobs = jobs if jobs is not None else available_cpus()
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
     def _execute_many(self, pending):
-        if not pending:
+        if len(pending) <= 1:
+            yield from super()._execute_many(pending)
             return
         # With a live obs session, each worker run spools its spans/metrics
         # to a file keyed by spec index; after the batch the parent merges
@@ -659,12 +672,30 @@ class ParallelExecutor(Executor):
         if not items:
             return []
         with obs.tracer().span("engine.map", tasks=len(items), jobs=self.jobs):
+            if len(items) == 1:
+                return [fn(items[0])]
             with ProcessPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
                 return list(pool.map(fn, items, chunksize=1))
 
 
-def default_executor(jobs: int = 1, **kwargs) -> Executor:
-    """``jobs <= 1`` -> :class:`SerialExecutor`, else :class:`ParallelExecutor`."""
-    if jobs <= 1:
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, not the host's
+    CPU count (a container or ``taskset`` can allow fewer)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def default_executor(jobs: int | None = None, **kwargs) -> Executor:
+    """The engine's one executor choice.
+
+    ``jobs`` is the width; ``None`` means every CPU this process may use
+    (:func:`available_cpus`).  A width of 1 or less is a
+    :class:`SerialExecutor`; anything wider is a :class:`ParallelExecutor`,
+    which still runs a batch with a single pending spec inline.
+    """
+    width = available_cpus() if jobs is None else jobs
+    if width <= 1:
         return SerialExecutor(**kwargs)
-    return ParallelExecutor(jobs=jobs, **kwargs)
+    return ParallelExecutor(jobs=width, **kwargs)

@@ -34,7 +34,7 @@ from typing import Callable
 from ..errors import ConfigError
 from ..machine.config import MachineConfig, origin2000_scaled
 from ..obs import runtime as obs
-from .engine import Executor, OnOutcome, RunCache, RunSpec, SerialExecutor
+from .engine import Executor, OnOutcome, RunCache, RunSpec, default_executor
 from .records import RunRecord
 
 __all__ = ["ParameterSweep", "sweep_grid"]
@@ -112,7 +112,7 @@ class ParameterSweep:
             raise ConfigError("at least one metric is required")
         points = self.points()
         specs = self.compile_specs()
-        executor = executor or SerialExecutor()
+        executor = executor or default_executor()
         with obs.tracer().span("sweep.run", points=len(specs)):
             records = executor.run(
                 specs, cache=cache, refresh=refresh, on_outcome=on_outcome

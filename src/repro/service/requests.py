@@ -32,7 +32,7 @@ from ..errors import ServiceError
 from ..obs import lineage
 from ..runner.campaign import CampaignConfig, ProgressCallback, ScalToolCampaign
 from ..runner.cache import cached_campaign, campaign_cache_dir
-from ..runner.engine import Executor, RunCache, RunSpec, SerialExecutor
+from ..runner.engine import Executor, RunCache, RunSpec, default_executor
 from ..runner.experiment import default_machine_factory
 from ..runner.sweep import ParameterSweep
 from ..viz.tables import format_table
@@ -196,7 +196,7 @@ class CompiledRequest:
         root = Path(cache_root) if cache_root is not None else None
         self._run_cache = run_cache
         with lineage.collect() as col:
-            result = self._execute(root, executor or SerialExecutor(), progress)
+            result = self._execute(root, executor or default_executor(), progress)
         result.lineage = col.build(self.kind, self.fingerprint()).to_dict()
         return result
 

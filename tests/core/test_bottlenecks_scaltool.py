@@ -108,9 +108,9 @@ class TestValidation:
             assert v.measured_base_minus_mp(n) <= v.base[n]
 
     def test_parallel_profiling_matches_serial(self, analysis, mini_campaign):
-        from repro.runner.engine import ParallelExecutor
+        from repro.runner.engine import ParallelExecutor, SerialExecutor
 
-        serial = validate_mp(analysis, mini_campaign, exact=True)
+        serial = validate_mp(analysis, mini_campaign, exact=True, executor=SerialExecutor())
         parallel = validate_mp(
             analysis, mini_campaign, exact=True, executor=ParallelExecutor(jobs=2)
         )

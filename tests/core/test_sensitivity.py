@@ -73,9 +73,11 @@ class TestSensitivity:
 
 class TestExecutorRouting:
     def test_parallel_matches_serial(self, analysis, mini_campaign):
-        from repro.runner.engine import ParallelExecutor
+        from repro.runner.engine import ParallelExecutor, SerialExecutor
 
-        serial = analyze_sensitivity(analysis, mini_campaign, delta=0.1)
+        serial = analyze_sensitivity(
+            analysis, mini_campaign, delta=0.1, executor=SerialExecutor()
+        )
         parallel = analyze_sensitivity(
             analysis, mini_campaign, delta=0.1, executor=ParallelExecutor(jobs=2)
         )

@@ -91,9 +91,9 @@ class TestBatchExecution:
             whatif.predict({"kind": "overclock"})
 
     def test_parallel_matches_serial(self, whatif):
-        from repro.runner.engine import ParallelExecutor
+        from repro.runner.engine import ParallelExecutor, SerialExecutor
 
-        serial = whatif.run_experiments(self.EXPERIMENTS)
+        serial = whatif.run_experiments(self.EXPERIMENTS, executor=SerialExecutor())
         parallel = whatif.run_experiments(
             self.EXPERIMENTS, executor=ParallelExecutor(jobs=2)
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import runtime as obs
 from repro.runner.campaign import CampaignConfig, ScalToolCampaign
 from repro.runner.cache import cached_campaign
+from repro.runner.engine import SerialExecutor
 from repro.runner.records import RunRecord
 
 from ..conftest import small_synthetic, tiny_machine_config
@@ -127,7 +128,10 @@ class TestProgressHook:
     def test_campaign_run_reports_progress(self):
         campaign = ScalToolCampaign(small_synthetic(), quick_config(), machine_factory=factory)
         events = []
-        data = campaign.run(progress=lambda i, total, rec: events.append((i, total, rec)))
+        data = campaign.run(
+            progress=lambda i, total, rec: events.append((i, total, rec)),
+            executor=SerialExecutor(),  # in-order completion is a serial property
+        )
         total = len(campaign.planned_runs())
         assert [e[0] for e in events] == list(range(1, total + 1))
         assert all(e[1] == total for e in events)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,10 @@ def _double(x: int) -> int:  # module-level: parallel map must pickle it
     return 2 * x
 
 
+def _pid_of(_item) -> int:
+    return os.getpid()
+
+
 class TestExecutors:
     def test_map_preserves_order(self):
         items = list(range(7))
@@ -105,6 +110,37 @@ class TestExecutors:
         parallel = default_executor(3)
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.jobs == 3
+
+    def test_default_width_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert isinstance(default_executor(), SerialExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        chosen = default_executor()
+        assert isinstance(chosen, ParallelExecutor) and chosen.jobs == 2
+        assert ParallelExecutor().jobs == 2
+        # An explicit width still wins: --jobs 1 forces serial.
+        assert isinstance(default_executor(1), SerialExecutor)
+
+    def test_single_pending_spec_runs_in_the_parent(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cached, fresh = spec_for(n=1), spec_for(n=2)
+        SerialExecutor().run([cached], cache=cache)
+        outcomes = []
+        ParallelExecutor(jobs=2).run(
+            [cached, fresh], cache=cache, on_outcome=lambda o: outcomes.append(o)
+        )
+        assert [(o.cached, o.pid) for o in outcomes] == [(True, None), (False, os.getpid())]
+
+    def test_a_wider_batch_runs_in_workers(self):
+        outcomes = []
+        ParallelExecutor(jobs=2).run(
+            [spec_for(n=1), spec_for(n=2)], on_outcome=lambda o: outcomes.append(o)
+        )
+        assert all(o.pid != os.getpid() for o in outcomes)
+
+    def test_single_item_map_runs_in_the_parent(self):
+        assert ParallelExecutor(jobs=2).map(_pid_of, [0]) == [os.getpid()]
+        assert ParallelExecutor(jobs=2).map(_pid_of, [0, 1]) != [os.getpid()] * 2
 
     def test_serial_and_parallel_records_byte_identical(self):
         specs = [spec_for(n=n, size=size) for n in (1, 2) for size in (2048, 4096)]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import runtime as obs
-from repro.runner.engine import ParallelExecutor, RunCache
+from repro.runner.engine import ParallelExecutor, RunCache, SerialExecutor
 from repro.runner.sweep import ParameterSweep, sweep_grid
 
 from ..conftest import small_synthetic, tiny_machine_config
@@ -89,7 +89,8 @@ class TestSweep:
     def test_parallel_rows_identical(self):
         sweep = self.make(workload_grid={"sharing_frac": [0.0, 0.1]})
         metrics = {"cycles": lambda r: r.counters.cycles}
-        assert sweep.run(metrics) == sweep.run(metrics, executor=ParallelExecutor(jobs=2))
+        serial = sweep.run(metrics, executor=SerialExecutor())
+        assert serial == sweep.run(metrics, executor=ParallelExecutor(jobs=2))
 
     def test_warm_sweep_runs_nothing(self, tmp_path):
         """Acceptance: a warm re-run is served entirely from the per-run

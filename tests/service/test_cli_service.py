@@ -111,7 +111,7 @@ class TestCliVerbs:
 class TestBlameByteIdentity:
     def test_blame_json_serial_vs_parallel_is_byte_identical(self, warm_root):
         base = ["blame", *WARM_ARGS, "--cache-dir", str(warm_root), "--json"]
-        serial = cli_stdout(base)
+        serial = cli_stdout(base + ["--jobs", "1"])
         parallel = cli_stdout(base + ["--jobs", "2"])
         assert serial == parallel
 

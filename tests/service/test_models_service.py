@@ -126,7 +126,7 @@ class TestCliJobsByteIdentity:
     def test_serial_vs_jobs2(self, tmp_path):
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         base = ["models", "compare", *MODELS_ARGS, "--json"]
-        serial = cli_stdout(base + ["--cache-dir", str(serial_dir)])
+        serial = cli_stdout(base + ["--cache-dir", str(serial_dir), "--jobs", "1"])
         parallel = cli_stdout(base + ["--cache-dir", str(parallel_dir), "--jobs", "2"])
         assert serial == parallel
 

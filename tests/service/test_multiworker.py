@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.runner.engine import SerialExecutor
 from repro.service import requests as req_mod
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
@@ -67,7 +68,7 @@ class TestByteIdentity:
     def serial_outputs(self, roots):
         return {
             kind: req_mod.compile_request(kind, payload)
-            .execute(cache_root=roots / "serial")
+            .execute(cache_root=roots / "serial", executor=SerialExecutor())
             .output
             for kind, payload in CASES
         }

@@ -29,6 +29,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "swim", "--counts", "a,b"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "swim"], ["blame", "swim"], ["profile", "swim"],
+         ["sweep", "swim"], ["models", "fit", "swim"], ["topology"]],
+    )
+    def test_batch_commands_default_to_every_cpu_and_serve_to_one(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).jobs is None
+        assert parser.parse_args(argv + ["--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["serve"]).jobs == 1
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -102,7 +113,7 @@ class TestCommands:
     def test_jobs_produces_same_cache_as_serial(self, tmp_path, capsys):
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         base = ["analyze", "synthetic", "--s0", "163840", "--counts", "1,2"]
-        assert main(base + ["--cache-dir", str(serial_dir)]) == 0
+        assert main(base + ["--cache-dir", str(serial_dir), "--jobs", "1"]) == 0
         assert main(base + ["--cache-dir", str(parallel_dir), "--jobs", "2"]) == 0
         capsys.readouterr()
         serial_runs = {p.name: p.read_text() for p in (serial_dir / "runs").glob("*.json")}
