@@ -31,6 +31,7 @@ from ..obs.diagnostics import (
     FitDiagnostics,
     linear_fit_diagnostics,
     solve_diagnostics,
+    solve_nonnegative,
 )
 from ..runner.records import RunRecord
 from .model import solve_tm
@@ -179,18 +180,18 @@ def fit_t2_tm(
         # Latencies are physical quantities, and deep-overflow triplets can
         # be (near-)collinear in (h2, hm): t2 is then not separately
         # identifiable and the unconstrained fit may go negative.  Refit
-        # under t2, tm >= 0 — the degenerate solutions fold the
-        # unidentifiable t2 share into tm, which is harmless for every
-        # downstream use that evaluates the same (h2, hm) mix.
-        from scipy.optimize import nnls
-
+        # under t2, tm >= 0.  A rank-deficient design keeps one column —
+        # the one with the larger column·target product, t2 on a tie — so
+        # the unidentifiable share lands on that latency, which is harmless
+        # for every downstream use that evaluates the same (h2, hm) mix.
         try:
-            solution, _ = nnls(design, np.clip(y, 0.0, None))
-        except (RuntimeError, ValueError) as exc:
+            t2, tm, _ = solve_nonnegative(design, np.clip(y, 0.0, None), ("t2", "tm"))
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise EstimationError(
                 f"constrained (t2, tm) refit failed: {exc}",
                 inputs={"triplet_sizes": sizes, "design_rows": design.tolist()},
             ) from exc
+        solution = np.array([t2, tm])
         constrained = True
     t2, tm = float(solution[0]), float(solution[1])
     residuals = y - design @ solution

@@ -19,7 +19,8 @@ plain least squares — the same machinery (and the same seeded
 :func:`~repro.obs.diagnostics.bootstrap_ci`) the Eq. 3 latency fit uses.
 Physics constrains σ, κ ≥ 0; when the unconstrained solution crosses
 zero the offending coefficient is clamped and the fit redone on the
-remaining column, flagged in the diagnostics (``clamped``).
+remaining column (:func:`~repro.obs.diagnostics.solve_nonnegative`, the
+solver of the Eq. 3 refit too), flagged in the diagnostics (``clamped``).
 
 The peak-speedup count is n\\* = sqrt((1 − σ) / κ) (κ > 0); with κ = 0
 the curve is monotone and saturates at 1/σ.
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from ..obs import runtime as obs
-from ..obs.diagnostics import bootstrap_ci
+from ..obs.diagnostics import bootstrap_ci, solve_nonnegative
 from .base import (
     ModelFit,
     model_fit_diagnostics,
@@ -51,26 +52,6 @@ def usl_speedup(n: float, sigma: float, kappa: float) -> float:
     return n / denom if denom > 0 else 0.0
 
 
-def _solve_nonnegative(design: np.ndarray, y: np.ndarray) -> tuple[float, float, list[str]]:
-    """Least squares under σ, κ >= 0; returns the clamped column names."""
-    sol, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    sigma, kappa = float(sol[0]), float(sol[1])
-    if sigma >= 0 and kappa >= 0:
-        return sigma, kappa, []
-    candidates: list[tuple[float, tuple[float, float], list[str]]] = []
-    # sigma-only, kappa-only, and the all-zero fallback.
-    for keep, names in ((0, ["kappa"]), (1, ["sigma"])):
-        col = design[:, keep : keep + 1]
-        c, _, _, _ = np.linalg.lstsq(col, y, rcond=None)
-        value = max(0.0, float(c[0]))
-        params = (value, 0.0) if keep == 0 else (0.0, value)
-        sse = float(np.sum((y - col[:, 0] * value) ** 2))
-        candidates.append((sse, params, names))
-    candidates.append((float(np.sum(y**2)), (0.0, 0.0), ["sigma", "kappa"]))
-    sse, params, clamped = min(candidates, key=lambda c: c[0])
-    return params[0], params[1], clamped
-
-
 class USLModel:
     """Fit the Universal Scalability Law to a speedup curve."""
 
@@ -84,7 +65,7 @@ class USLModel:
             rows = [(n, s) for n, s in zip(dataset.counts, speedups) if n > 1]
             design = np.array([[n - 1.0, n * (n - 1.0)] for n, _ in rows])
             y = np.array([n / s - 1.0 for n, s in rows])
-            sigma, kappa, clamped = _solve_nonnegative(design, y)
+            sigma, kappa, clamped = solve_nonnegative(design, y, ("sigma", "kappa"))
             ci = bootstrap_ci(design, y, ("sigma", "kappa"))
 
             modeled = [usl_speedup(n, sigma, kappa) for n in dataset.counts]

@@ -48,6 +48,7 @@ __all__ = [
     "solve_diagnostics",
     "sanity_diagnostics",
     "bootstrap_ci",
+    "solve_nonnegative",
 ]
 
 GRADE_OK = "ok"
@@ -515,6 +516,40 @@ def bootstrap_ci(
             lo, hi = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
             out[name] = [float(lo), float(hi)]
     return out
+
+
+def solve_nonnegative(
+    design: np.ndarray, y: np.ndarray, names: tuple[str, str] = ("x0", "x1")
+) -> tuple[float, float, list[str]]:
+    """Two-column least squares under both coefficients >= 0.
+
+    Returns the two coefficients and the ``names`` of those clamped to
+    zero.  A full-rank design has one constrained optimum: the
+    unconstrained solution when it is nonnegative, else the best of one
+    column alone or neither.  A rank-deficient design has many equally
+    good ones; its two-column (min-norm) split is never taken, and the
+    column kept is Lawson–Hanson's first pick — the larger ``aⱼᵀy``, the
+    first column on a tie — so results match ``scipy.optimize.nnls``.
+    """
+    sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank == 2 and sol[0] >= 0 and sol[1] >= 0:
+        return float(sol[0]), float(sol[1]), []
+    candidates: list[tuple[float, tuple[float, float], list[str]]] = []
+    # first-column-only, second-column-only, and the all-zero fallback.
+    for keep in (0, 1):
+        col = design[:, keep : keep + 1]
+        c, _, _, _ = np.linalg.lstsq(col, y, rcond=None)
+        value = max(0.0, float(c[0]))
+        params = (value, 0.0) if keep == 0 else (0.0, value)
+        sse = float(np.sum((y - col[:, 0] * value) ** 2))
+        candidates.append((sse, params, [names[1 - keep]]))
+    candidates.append((float(np.sum(y**2)), (0.0, 0.0), list(names)))
+    if rank < 2:
+        # Both columns span one line, so they fit equally well up to
+        # rounding: keep Lawson–Hanson's pick rather than the rounding's.
+        del candidates[1 if design[:, 0] @ y >= design[:, 1] @ y else 0]
+    sse, params, clamped = min(candidates, key=lambda c: c[0])
+    return params[0], params[1], clamped
 
 
 def linear_fit_diagnostics(

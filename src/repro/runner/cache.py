@@ -11,7 +11,9 @@ reuse them for free.
 The campaign JSONL manifest is still written — one per campaign, keyed by
 a hash of (workload + parameters, the full machine configuration at every
 planned processor count, campaign plan) — but it is an *export format*
-for ``CampaignData.load`` / external tooling, not the cache itself.
+for ``CampaignData.load`` / external tooling, not the cache itself.  Its
+bytes are the campaign's run-cache entries concatenated in plan order
+(:func:`manifest_text`).
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ import json
 import threading
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 from .campaign import CampaignConfig, CampaignData, ProgressCallback, ScalToolCampaign
-from .engine import Executor, RunCache, default_cache_root
+from .engine import Executor, RunCache, RunSpec, default_cache_root
 from .experiment import MachineFactory, default_machine_factory
-from .records import save_records
+from .records import RunRecord, write_text_atomic
 from ..obs import runtime as obs
 from ..obs.logs import get_logger, kv
 from ..workloads.base import Workload
 
-__all__ = ["campaign_cache_dir", "cached_campaign"]
+__all__ = ["campaign_cache_dir", "cached_campaign", "manifest_text"]
 
 _log = get_logger("runner.cache")
 
@@ -82,6 +85,28 @@ def _campaign_key(workload: Workload, config: CampaignConfig, machine_ident: dic
     return hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()[:20]
 
 
+def manifest_text(
+    run_cache: RunCache, specs: Sequence[RunSpec], records: Sequence[RunRecord]
+) -> str:
+    """The JSONL manifest of ``records``: their run-cache entries in plan order.
+
+    Every entry already holds its record's manifest line
+    (:meth:`RunCache.put`), so the manifest costs one file read per run
+    rather than a re-serialisation of every phase counter set.  Only an
+    entry that cannot be read, or is not one line, is serialised afresh.
+    """
+    lines = []
+    for spec, record in zip(specs, records):
+        try:
+            line = run_cache.path(spec).read_text()
+        except OSError:
+            line = ""
+        if not line.endswith("\n") or line.count("\n") != 1:
+            line = record.to_json() + "\n"
+        lines.append(line)
+    return "".join(lines)
+
+
 def cached_campaign(
     workload: Workload,
     config: CampaignConfig,
@@ -123,9 +148,11 @@ def cached_campaign(
 
     hits = 0
     misses = 0
+    specs: dict[int, RunSpec] = {}
 
     def _count(outcome) -> None:
         nonlocal hits, misses
+        specs[outcome.index] = outcome.spec
         if outcome.cached:
             hits += 1
         else:
@@ -161,7 +188,8 @@ def cached_campaign(
             manifest
         ] == _stamp(manifest)
     if misses or refresh or not unchanged:
-        save_records(data.records, manifest)
+        plan = [specs[i] for i in range(len(data.records))]
+        write_text_atomic(manifest, manifest_text(run_cache, plan, data.records))
         with _manifest_lock:
             stamp = _stamp(manifest)
             if stamp is not None:

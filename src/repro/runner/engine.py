@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -59,7 +58,7 @@ from ..obs.trace import TraceHandle
 from ..workloads.base import Workload
 from ..workloads.registry import make_workload
 from .experiment import run_experiment
-from .records import ROLE_APP_BASE, RunRecord
+from .records import ROLE_APP_BASE, RunRecord, write_text_atomic
 
 __all__ = [
     "RunSpec",
@@ -313,16 +312,14 @@ class RunCache:
             return None
 
     def put(self, spec: RunSpec, record: RunRecord) -> Path:
-        """Store atomically (write-then-rename) so readers never see a torn file.
+        """Store atomically, so readers never see a torn file.
 
-        The temp name carries pid *and* thread id: service jobs write
-        concurrently from threads of one process.
+        The entry is exactly the record's manifest line,
+        ``record.to_json() + "\\n"``: campaign manifests are these
+        entries concatenated (:func:`~repro.runner.cache.manifest_text`).
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(spec)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(record.to_json() + "\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, record.to_json() + "\n")
         return path
 
 

@@ -19,7 +19,7 @@ from ..errors import CounterFormatError
 from ..machine.counters import CounterSet, GroundTruth
 from ..machine.system import RunResult
 
-__all__ = ["RunRecord", "save_records", "load_records"]
+__all__ = ["RunRecord", "save_records", "load_records", "write_text_atomic"]
 
 # Record roles, set by the campaign: which part of the Table 3 plan (or the
 # Section 2.4.2 kernel suite) a run belongs to.
@@ -154,22 +154,24 @@ class RunRecord:
         return (self.workload, self.role, self.size_bytes, self.n_processors)
 
 
-def save_records(records: list[RunRecord], path: str | Path) -> None:
-    """Write records as JSON lines (one file per campaign manifest).
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (write-then-rename).
 
-    The write is atomic (write-then-rename): concurrent exporters of the
-    same manifest — e.g. two service jobs that resolved to the same
-    campaign — never leave a torn file behind.  The temp name includes
-    the thread id because those concurrent exporters share a pid.
+    Concurrent writers of one file — e.g. two service jobs that resolved
+    to the same campaign — never leave a torn file behind.  The temp name
+    carries the pid *and* the thread id, because service jobs write
+    concurrently from threads of one process.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    with tmp.open("w") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def save_records(records: list[RunRecord], path: str | Path) -> None:
+    """Write records as JSON lines (one file per campaign manifest), atomically."""
+    write_text_atomic(path, "".join(rec.to_json() + "\n" for rec in records))
 
 
 def load_records(path: str | Path) -> list[RunRecord]:

@@ -31,7 +31,7 @@ from ..core import ScalTool, WhatIf
 from ..errors import ServiceError
 from ..obs import lineage
 from ..runner.campaign import CampaignConfig, ProgressCallback, ScalToolCampaign
-from ..runner.cache import cached_campaign, campaign_cache_dir
+from ..runner.cache import cached_campaign, campaign_cache_dir, manifest_text
 from ..runner.engine import Executor, RunCache, RunSpec, default_executor
 from ..runner.experiment import default_machine_factory
 from ..runner.sweep import ParameterSweep
@@ -169,6 +169,11 @@ class CompiledRequest:
         raise NotImplementedError
 
     # -- shared -----------------------------------------------------------------
+
+    def _runs(self, cache_root: Path | None) -> RunCache:
+        """The per-run cache under ``cache_root`` (the caller's substitute, if any)."""
+        root = cache_root if cache_root is not None else campaign_cache_dir()
+        return getattr(self, "_run_cache", None) or RunCache(Path(root) / "runs")
 
     def fingerprint(self) -> str:
         """The job id: a content address over (kind, canonical payload)."""
@@ -330,7 +335,7 @@ class CampaignRequest(_CampaignBacked):
 
     def _execute(self, cache_root, executor, progress) -> RequestResult:
         campaign = self._campaign(cache_root, executor, progress)
-        manifest = "".join(rec.to_json() + "\n" for rec in campaign.records)
+        manifest = manifest_text(self._runs(cache_root), self.specs(), campaign.records)
         return RequestResult(
             output=manifest,
             data={
@@ -548,7 +553,6 @@ class SweepRequest(CompiledRequest):
         c = self.canonical
         sweep = self._sweep()
         metrics = {m: (lambda rec, _m=m: getattr(rec.counters, _m)) for m in c["metrics"]}
-        root = cache_root if cache_root is not None else campaign_cache_dir()
         total = len(sweep.points())
 
         def _report(outcome) -> None:
@@ -558,7 +562,7 @@ class SweepRequest(CompiledRequest):
         rows = sweep.run(
             metrics,
             executor=executor,
-            cache=getattr(self, "_run_cache", None) or RunCache(Path(root) / "runs"),
+            cache=self._runs(cache_root),
             on_outcome=_report,
         )
         output = (

@@ -1,5 +1,9 @@
 """Parameter estimation on fabricated counter data with known truth."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.estimators import (
@@ -133,6 +137,30 @@ class TestFit:
         assert t2 >= 0 and tm >= 0
         # the identified combination still predicts the triplets
         assert diag["rms"] < 0.02
+
+    def test_constrained_refit_imports_no_scipy(self):
+        # numpy is the only runtime dependency: the refit must not pull in
+        # scipy (its import alone used to cost about half a second).
+        script = (
+            "import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from repro.core.estimators import fit_t2_tm\n"
+            "from tests.core.test_estimators import L2_BYTES, TRUE, fabricate\n"
+            "runs = {s: fabricate(s, l2_hit_of_miss=0.10)\n"
+            "        for s in (8 * L2_BYTES, 16 * L2_BYTES, 32 * L2_BYTES)}\n"
+            "_, _, diag = fit_t2_tm(runs, TRUE['cpi0'], L2_BYTES)\n"
+            "assert diag['rank_deficient'] and diag['constrained']\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(root / "src"), str(root)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestAdjustment:

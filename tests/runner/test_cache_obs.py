@@ -107,6 +107,27 @@ class TestCorruptRunCache:
 
         assert len(load_records(manifest)) == len(first.records)
 
+    def test_manifest_bytes_are_the_records_json_lines(self, tmp_path):
+        # The manifest is written from the run-cache entries' bytes; on a
+        # cold pass, a warm re-export and after a corrupt entry re-ran, it
+        # must be exactly the records' JSON lines in plan order.
+        wl, cfg = small_synthetic(), quick_config()
+
+        def expected(data):
+            return "".join(r.to_json() + "\n" for r in data.records)
+
+        cold = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
+        manifest = manifest_of(tmp_path)
+        assert manifest.read_text() == expected(cold)
+        manifest.unlink()  # a fresh process re-exports on its first warm read
+        warm = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
+        assert manifest.read_text() == expected(warm) == expected(cold)
+        run_entries_of(tmp_path)[0].write_text("this is { not json\n")
+        with obs.session() as s:
+            healed = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
+        assert s.registry.counter("engine.runs") == 1.0
+        assert manifest.read_text() == expected(healed) == expected(cold)
+
     def test_hit_and_miss_metrics(self, tmp_path):
         wl, cfg = small_synthetic(), quick_config()
         with obs.session() as s:
